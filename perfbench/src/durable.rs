@@ -9,14 +9,14 @@
 //! committer, and shipping and applying on the replica; queries are
 //! trivial.
 
-use crate::openloop::{account, send_time, Schedule};
+use crate::openloop::{account, send_time, wait_until, Schedule};
 use crate::replay::{same_bytes, Layers};
 use crate::report::{
     counter_delta, latency_metrics, mean, metric, plan_cache_hit_ratio, share_table, LayerAgg,
     Metric, RunResult,
 };
 use crate::spans::SpanLog;
-use crate::stats::{median, tail_per_mille, Summary, UNCAPPED};
+use crate::stats::{interquartile_mean, tail_per_mille, Summary, UNCAPPED};
 use crate::util::{self, Rng, ServerProc};
 use crate::Args;
 use sciql_repro::driver::Sciql;
@@ -40,15 +40,26 @@ const WRITE_RATE: f64 = 50.0;
 /// Reader operations per second against the replica. Each read waits for
 /// the primary's shipping loop (it polls its replica link every 50 ms),
 /// so one connection serves fewer than 20 a second without queueing.
-const READ_RATE: f64 = 10.0;
+/// Most reads take longer than an INSERT, so they count against the
+/// median of all statements; at 10/s they pushed it up into the INSERTs'
+/// upper tail (see [`UPDATE_ONE_IN`]).
+const READ_RATE: f64 = 5.0;
+/// One writer operation in this many is a single-cell UPDATE. UPDATEs and
+/// most replica reads are slower than every INSERT, so the median of all
+/// statements sits at the INSERTs' quantile 0.5 / (INSERT share). With one
+/// UPDATE in five and 10 reads/s that was the INSERTs' 70th percentile,
+/// where a slow phase of the shared host doubled it and the median of a
+/// set of runs spread by a third; one in twenty and 5 reads/s put it near
+/// their 55th percentile, in the body of the INSERT latencies.
+const UPDATE_ONE_IN: u64 = 20;
 /// Every this many writer operations, one is a binary COPY batch.
 const COPY_EVERY: u64 = 50;
 const COPY_ROWS: usize = 1024;
 /// Ids of COPY rows start here; single-row INSERTs count up from 1.
 const COPY_ID_BASE: i64 = 1 << 30;
-const SETUPS: usize = 15;
-/// `tail_ms` and `write_tail_ms` percentile cap: a 20 s run collects
-/// ~1,000 writes, which reaches p99.
+const SETUPS: usize = 31;
+/// `tail_ms` and `write_tail_ms` percentile cap: a 30 s run collects
+/// 1,500 writes and 150 reads, which reaches p99 (16 statements beyond).
 const TAIL_CAP: usize = 990;
 const WARMUP_WRITES: u64 = 2 * COPY_EVERY;
 
@@ -205,10 +216,7 @@ impl Writes {
                 batch: self.next_batch - 1,
             };
         }
-        // One write in five is an UPDATE: the median of all statements
-        // then falls well inside the INSERT latencies rather than near the
-        // edge of the two clusters, where it jumped between runs.
-        if self.rng.below(5) == 0 {
+        if self.rng.below(UPDATE_ONE_IN) == 0 {
             self.cell = (self.cell + CELL_STRIDE) % (GRID * GRID);
             Write::Update {
                 x: self.cell / GRID,
@@ -294,7 +302,7 @@ fn measure(
                 if due >= end {
                     break;
                 }
-                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                wait_until(due);
                 let a = last.lock().expect("ack lock").clone();
                 let sent = send_time(due, prev).max(Instant::now());
                 reader.set_read_token(a.token);
@@ -327,7 +335,7 @@ fn measure(
             if due >= end {
                 break;
             }
-            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            wait_until(due);
             let op = writes.next();
             let sql = op.sql(work);
             let sent = send_time(due, prev).max(Instant::now());
@@ -471,6 +479,8 @@ pub fn run(args: &Args) -> Result<RunResult, String> {
     });
     let mut r = RunResult::default();
 
+    // From here to the end of the measured windows the CPUs do not halt.
+    let spinners = util::IdleSpinners::start(util::nproc())?;
     // Warm-up, closed loop: both WAL paths (statement and COPY batch)
     // and the replica's apply path run before the window.
     for _ in 0..WARMUP_WRITES {
@@ -562,6 +572,7 @@ pub fn run(args: &Args) -> Result<RunResult, String> {
         traced_win = Some(w);
     }
 
+    drop(spinners);
     // Closing checks: the replica converges to the primary, row for row.
     await_replica(&mut reader, writer.last_token())?;
     for sql in [
@@ -767,7 +778,8 @@ pub fn run(args: &Args) -> Result<RunResult, String> {
 
     if !args.trace {
         let all: Vec<f64> = [plain.write_ms.as_slice(), plain.read_ms.as_slice()].concat();
-        r.metrics.push(metric("setup_s", median(&setup_s), "s"));
+        r.metrics
+            .push(metric("setup_s", interquartile_mean(&setup_s), "s"));
         r.metrics.push(metric(
             "ops_per_s",
             plain.ops() as f64 / plain.elapsed.as_secs_f64(),

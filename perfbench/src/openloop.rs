@@ -27,6 +27,22 @@ impl Schedule {
     }
 }
 
+/// How long before a due time the sender stops sleeping and spins: a
+/// thread woken from sleep runs a tenth of a millisecond or more late, and
+/// that lateness would count into every operation's latency.
+const SPIN: Duration = Duration::from_micros(500);
+
+/// Block until `due`: sleep until shortly before it, then spin.
+pub fn wait_until(due: Instant) {
+    let now = Instant::now();
+    if due > now + SPIN {
+        std::thread::sleep(due - now - SPIN);
+    }
+    while Instant::now() < due {
+        std::hint::spin_loop();
+    }
+}
+
 /// One operation's timing, measured from when it was due.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpTiming {
@@ -73,6 +89,15 @@ mod tests {
                 account(due, sent, done)
             })
             .collect()
+    }
+
+    #[test]
+    fn wait_until_returns_at_or_after_the_due_time() {
+        let due = Instant::now() + Duration::from_millis(3);
+        wait_until(due);
+        assert!(Instant::now() >= due);
+        // A due time in the past returns at once.
+        wait_until(due);
     }
 
     #[test]

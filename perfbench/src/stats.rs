@@ -49,6 +49,21 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Mean of the middle half of the values: the quarter below and the
+/// quarter above are dropped. Robust to outliers like a median, but it
+/// moves smoothly when the values fall into two clusters of about equal
+/// size, where a median jumps from one cluster to the other.
+pub fn interquartile_mean(values: &[f64]) -> f64 {
+    let mut v: Vec<f64> = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let cut = v.len() / 4;
+    let mid = &v[cut..v.len() - cut];
+    if mid.is_empty() {
+        return f64::NAN;
+    }
+    mid.iter().sum::<f64>() / mid.len() as f64
+}
+
 /// Median and tail of one latency sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -136,6 +151,25 @@ mod tests {
         assert_eq!(s.tail_label(), "p99");
         let small = Summary::of(&[3.0, 1.0, 2.0], 999);
         assert_eq!((small.tail, small.tail_label().as_str()), (3.0, "max"));
+    }
+
+    #[test]
+    fn interquartile_mean_drops_the_outer_quarters() {
+        assert_eq!(
+            interquartile_mean(&[100.0, 1.0, 2.0, 3.0, 4.0, -50.0, 2.5, 3.5]),
+            2.75
+        );
+        assert_eq!(interquartile_mean(&[7.0]), 7.0);
+        assert!(interquartile_mean(&[]).is_nan());
+        // Two clusters of near-equal size: one value moving across shifts
+        // the median by the whole gap, the interquartile mean by a step.
+        let mut v = vec![1.0; 15];
+        v.extend([3.0; 16]);
+        let mut w = vec![1.0; 16];
+        w.extend([3.0; 15]);
+        assert_eq!((median(&v), median(&w)), (3.0, 1.0));
+        let (a, b) = (interquartile_mean(&v), interquartile_mean(&w));
+        assert!(a > b && a - b < 0.2, "{a} {b}");
     }
 
     #[test]

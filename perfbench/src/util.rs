@@ -3,6 +3,9 @@
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// SplitMix64: every generated input derives from the run's `--seed`.
@@ -92,6 +95,70 @@ pub fn median_us(mut call: impl FnMut() -> Result<(), String>) -> Result<f64, St
         v.push(us(t.elapsed()));
     }
     Ok(crate::stats::median(&v))
+}
+
+/// One busy thread per CPU at the `SCHED_IDLE` policy, for as long as it
+/// is alive. A virtual CPU with nothing to run halts, and waking it costs
+/// the hypervisor a tenth of a millisecond or more per wake-up, several
+/// times that while the shared host is busy; a durable write crosses three
+/// processes and several threads, so those wake-ups were a third of its
+/// latency and most of its run-to-run spread. The spinners keep the CPUs
+/// from halting. `SCHED_IDLE` threads run only when nothing else wants the
+/// CPU, and a waking thread preempts them at once.
+pub struct IdleSpinners {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl IdleSpinners {
+    pub fn start(n: usize) -> Result<IdleSpinners, String> {
+        let mut spinners = IdleSpinners {
+            stop: Arc::new(AtomicBool::new(false)),
+            threads: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
+            let stop = Arc::clone(&spinners.stop);
+            let (tx, rx) = mpsc::channel();
+            spinners.threads.push(std::thread::spawn(move || {
+                let idle = set_sched_idle();
+                let ok = idle.is_ok();
+                let _ = tx.send(idle);
+                while ok && !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            }));
+            // On an error, dropping `spinners` stops the ones started.
+            rx.recv()
+                .map_err(|_| "idle spinner thread died".to_string())??;
+        }
+        Ok(spinners)
+    }
+}
+
+/// Put the calling thread under `SCHED_IDLE` (`chrt --idle --pid 0 <tid>`).
+fn set_sched_idle() -> Result<(), String> {
+    let tid = std::fs::read_link("/proc/thread-self")
+        .ok()
+        .and_then(|p| p.file_name()?.to_str()?.parse::<u32>().ok())
+        .ok_or("no thread id in /proc/thread-self")?;
+    let status = Command::new("chrt")
+        .args(["--idle", "--pid", "0", &tid.to_string()])
+        .status()
+        .map_err(|e| format!("chrt: {e}"))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("chrt --idle for thread {tid}: {status}"))
+    }
+}
+
+impl Drop for IdleSpinners {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
 }
 
 pub fn secs(d: Duration) -> f64 {

@@ -16,7 +16,7 @@ use crate::report::{
     share_table, LayerAgg, RunResult,
 };
 use crate::spans::SpanLog;
-use crate::stats::{median, Summary, UNCAPPED};
+use crate::stats::{interquartile_mean, Summary, UNCAPPED};
 use crate::util::{self, Rng, ServerProc};
 use crate::Args;
 use sciql_repro::driver::{Conn, Sciql, Statement};
@@ -30,11 +30,11 @@ const PTS: usize = 1000;
 const S4: usize = 4096;
 const S64: usize = 65536;
 const CLIENTS: usize = 2;
-const SETUPS: usize = 15;
-/// `tail_ms` percentile cap. A 20 s run collects ~75k statements on the
+const SETUPS: usize = 31;
+/// `tail_ms` percentile cap. A 30 s run collects ~115k statements on the
 /// reference host, enough for p99.9, but the p99.9 of identical runs
 /// ranged from 11 to 20 ms with the host's scheduling hiccups; p99 has
-/// ~750 samples beyond it. The report still prints the p99.9.
+/// ~1,100 samples beyond it. The report still prints the p99.9.
 const TAIL_CAP: usize = 990;
 /// Keep every Nth result for the byte-identity check, at most this many
 /// 64k-row streams per client.
@@ -447,7 +447,8 @@ pub fn run(args: &Args) -> Result<RunResult, String> {
             .iter()
             .map(|w| w.ops as f64 / w.elapsed.as_secs_f64())
             .sum();
-        r.metrics.push(metric("setup_s", median(&setup_s), "s"));
+        r.metrics
+            .push(metric("setup_s", interquartile_mean(&setup_s), "s"));
         r.metrics.push(metric("ops_per_s", ops_per_s, "stmt/s"));
         r.metrics
             .extend(latency_metrics("", &lat, TAIL_CAP, &mut r.notes));
